@@ -10,11 +10,12 @@ Every scaling PR changes the cost trajectory of the same hot paths:
 * **sparse** — the CSR membership backend vs the dense band at
   N ∈ {1k, 5k, 10k}: bit-identical answers, O(N·ball) memory instead of
   O(N²) (the ratio is the gated "speedup" — it is machine-independent);
-* **query** — the batched query engine at N ∈ {1k, 5k, 10k}: frontier-
-  batched CSQ walks (``select_contacts_many``) and fabric-backed DSQ
-  workloads (``query_many``) vs the per-source reference loops, parity-
-  checked while timing (identical tables, ``QueryResult`` lists and
-  traffic accounting);
+* **query** — the query engine at N ∈ {1k, 5k, 10k}: the CSQ walk
+  kernel (``select_contacts_many``) vs the per-hop walk oracle
+  (:mod:`repro.bench.oracle`) and fabric-backed DSQ workloads
+  (``query_many``) vs the per-query reference loop, parity-checked while
+  timing (identical tables, ``QueryResult`` lists and traffic
+  accounting);
 * **xl** — one N=10⁴ snapshot artifact (``fig07`` at the ``xl`` scale
   profile) built end-to-end through ``repro.api`` on the sparse
   ``DistanceView`` substrate, with peak memory reported.  The seed-era
@@ -511,7 +512,7 @@ def bench_obs(
 
 
 # ----------------------------------------------------------------------
-# query engine: batched CSQ walks + DSQ workloads vs per-source paths
+# query engine: CSQ walk kernel vs oracle + DSQ workloads vs query loop
 # ----------------------------------------------------------------------
 def bench_query(
     *,
@@ -522,15 +523,16 @@ def bench_query(
     repeats: int = 3,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """Batched query engine vs the per-source reference paths.
+    """Walk kernel and batched query engine vs their reference paths.
 
     Two cases per network size, both parity-checked while timing:
 
     * ``csq_walks_n{N}`` — contact-selection bootstrap for a fixed
       source sample: ``BatchedContactSelector.select_contacts_many``
-      (candidate) vs the sequential per-source walks (reference), on
-      twin protocol instances with identical RNG streams.  The resulting
-      tables and network statistics must be bit-identical.
+      (candidate, the walk kernel) vs :func:`repro.bench.oracle.bootstrap`
+      (reference, the per-hop walk oracle), on twin protocol instances
+      with identical RNG streams.  The resulting tables and network
+      statistics must be bit-identical.
     * ``query_engine_n{N}`` — a depth-``depth`` DSQ workload over the
       full contact structure: ``QueryEngine.query_many`` (candidate) vs
       a ``query()`` loop (reference) on the same engine; the
@@ -543,6 +545,7 @@ def bench_query(
     shrinks), so the quick CI sweep gates against the committed full
     baseline on the intersecting case names.
     """
+    from repro.bench import oracle
     from repro.core.params import CARDParams, SelectionMethod
     from repro.core.protocol import CARDProtocol
     from repro.net.network import Network
@@ -562,7 +565,7 @@ def bench_query(
         )
         # bootstrap mutates the tables, so each mode runs exactly once
         seq_s, seq_peak, res_seq = _timed(
-            lambda: card_seq.bootstrap(sample, batched=False), 1
+            lambda: oracle.bootstrap(card_seq, sample), 1
         )
         bat_s, bat_peak, res_bat = _timed(lambda: card_bat.bootstrap(sample), 1)
         for s in sample:  # pragma: no branch - parity guard
@@ -573,7 +576,7 @@ def bench_query(
                 or a.table.ids() != b.table.ids()
                 or [c.path for c in a.table] != [c.path for c in b.table]
             ):
-                raise AssertionError(f"batched walk diverged at N={n}, s={s}")
+                raise AssertionError(f"walk kernel diverged at N={n}, s={s}")
         if (
             card_seq.network.stats.snapshot()
             != card_bat.network.stats.snapshot()

@@ -16,7 +16,8 @@ Typical use::
     card.maintain(12)                     # one validation+replenish round
 
 Snapshot experiments call :meth:`bootstrap` once; the time-series runner
-wires :meth:`maintain` to per-node periodic timers.
+wires :meth:`maintain` to per-node periodic timers.  Both reach the same
+CSQ walk kernel, :meth:`~repro.core.selection.ContactSelector.select_one`.
 """
 
 from __future__ import annotations
@@ -91,13 +92,12 @@ class CARDProtocol:
         return table
 
     def bootstrap(
-        self, sources: Optional[Sequence[int]] = None, *, batched: bool = True
+        self, sources: Optional[Sequence[int]] = None
     ) -> Dict[int, SourceSelectionResult]:
         """Run initial contact selection for every source (or a subset).
 
-        The batched engine advances all sources' walks frontier-style;
-        per-source RNG streams make its results bit-identical to the
-        sequential loop (``batched=False``, kept as the parity oracle).
+        Each source walks with its own ``("select", s)`` RNG stream, so the
+        result for a source does not depend on which others are selected.
         """
         srcs = [
             int(s)
@@ -105,19 +105,11 @@ class CARDProtocol:
                 range(self.network.num_nodes) if sources is None else sources
             )
         ]
-        if batched:
-            rngs = {s: self.streams.get("select", s) for s in srcs}
-            tables = {s: self.table_for(s) for s in srcs}
-            return self.selector.select_contacts_many(
-                srcs, rngs, tables=tables, now=self.network.sim.now
-            )
-        results: Dict[int, SourceSelectionResult] = {}
-        for s in srcs:
-            rng = self.streams.get("select", s)
-            results[s] = self.selector.select_contacts(
-                s, rng, table=self.table_for(s), now=self.network.sim.now
-            )
-        return results
+        rngs = {s: self.streams.get("select", s) for s in srcs}
+        tables = {s: self.table_for(s) for s in srcs}
+        return self.selector.select_contacts_many(
+            srcs, rngs, tables=tables, now=self.network.sim.now
+        )
 
     def maintain(
         self, source: int

@@ -120,9 +120,17 @@ DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
     LayerConstraint(
         rule="CARD-L02",
         sources=("repro.net", "repro.core", "repro.des"),
-        forbidden=("repro.campaign", "repro.service", "repro.artifacts"),
+        forbidden=(
+            "repro.campaign",
+            "repro.service",
+            "repro.artifacts",
+            "repro.bench",
+        ),
         include_deferred=True,
-        reason="simulation layers must not depend on orchestration layers",
+        reason=(
+            "simulation layers must not depend on orchestration layers "
+            "or on the bench's reference oracles"
+        ),
     ),
 )
 

@@ -24,8 +24,8 @@ Layering (the dependency DAG is data in
   never imports the legacy ``repro.experiments`` harness at import time;
 * **CARD-L02** — simulation layers (``repro.net``/``repro.core``/
   ``repro.des``) never import orchestration
-  (``repro.campaign``/``repro.service``/``repro.artifacts``), not even
-  lazily.
+  (``repro.campaign``/``repro.service``/``repro.artifacts``) or the
+  bench's reference oracles (``repro.bench``), not even lazily.
 
 Concurrency/durability discipline:
 

@@ -1,11 +1,13 @@
-"""Batched-vs-sequential equivalence for the batched query engine PR.
+"""Kernel-vs-oracle and batched-vs-sequential equivalence.
 
-The batched engines (`BatchedContactSelector.select_contacts_many`,
-`QueryEngine.query_many`, packed `reachability_all`) promise *bit-identical*
-results to the sequential reference paths — same contact tables, same
-`SelectionOutcome`/`QueryResult` fields, same message accounting down to
-per-node attribution.  These tests pin that contract over random, mobile
-and disconnected topologies, both selection methods and both dedup modes.
+The CSQ walk kernel (`ContactSelector.select_one`, reached through
+`CARDProtocol.bootstrap` and `maintain`) must match the per-hop walk
+oracle (`repro.bench.oracle`), and `QueryEngine.query_many` / packed
+`reachability_all` must match their sequential reference paths — all
+*bit-identical*: same contact tables, same `SelectionOutcome`/`QueryResult`
+fields, same message accounting down to per-node attribution.  These tests
+pin that contract over random, mobile and disconnected topologies, both
+selection methods and both dedup modes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench import oracle
+from repro.bench.oracle import ReferenceSelector
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
@@ -102,7 +106,7 @@ class TestBatchedSelectionParity:
         card_b = _protocol(make, method, seed)
         card_s = _protocol(make, method, seed)
         res_b = card_b.bootstrap()
-        res_s = card_s.bootstrap(batched=False)
+        res_s = oracle.bootstrap(card_s)
         assert_same_selection(res_b, res_s)
         assert_same_stats(card_b.network, card_s.network)
 
@@ -113,7 +117,7 @@ class TestBatchedSelectionParity:
         card_b = _protocol(make, SelectionMethod.PM, 7)
         card_s = _protocol(make, SelectionMethod.PM, 7)
         card_b.bootstrap()
-        card_s.bootstrap(batched=False)
+        oracle.bootstrap(card_s)
         for s in range(card_b.network.num_nodes):
             ga = card_b.streams.get("select", s)
             gb = card_s.streams.get("select", s)
@@ -125,16 +129,52 @@ class TestBatchedSelectionParity:
         make = TOPOLOGIES["random"]
         sources = [3, 11, 42, 99, 120]
         card_s = _protocol(make, SelectionMethod.EM, 2)
-        res_s = card_s.bootstrap(sources, batched=False)
-        for chunk in (1, 2, 256):
-            card_b = _protocol(make, SelectionMethod.EM, 2)
-            rngs = {s: card_b.streams.get("select", s) for s in sources}
-            tables = {s: card_b.table_for(s) for s in sources}
-            res_b = card_b.selector.select_contacts_many(
-                sources, rngs, tables=tables, chunk=chunk
+        res_s = oracle.bootstrap(card_s, sources)
+        card_b = _protocol(make, SelectionMethod.EM, 2)
+        rngs = {s: card_b.streams.get("select", s) for s in sources}
+        tables = {s: card_b.table_for(s) for s in sources}
+        res_b = card_b.selector.select_contacts_many(
+            sources, rngs, tables=tables
+        )
+        assert_same_selection(res_b, res_s)
+        assert_same_stats(card_b.network, card_s.network)
+
+    @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
+    def test_maintenance_replenishment_matches_oracle(self, method):
+        """RWP steps, each followed by a maintain() round on every source:
+        the kernel's replenishment walks match the oracle's."""
+        cards = [_protocol(mobile_topology, method, 3) for _ in range(2)]
+        card_k, card_o = cards
+        card_o.selector = ReferenceSelector(
+            card_o.network, card_o.tables, card_o.params
+        )
+        card_k.bootstrap()
+        oracle.bootstrap(card_o)
+        models = [
+            RandomWaypoint(
+                c.network.topology.positions, (400.0, 400.0),
+                max_speed=20.0, rng=np.random.default_rng(11),
             )
-            assert_same_selection(res_b, res_s)
-            assert_same_stats(card_b.network, card_s.network)
+            for c in cards
+        ]
+        replenished = 0
+        for _ in range(3):
+            for card, model in zip(cards, models):
+                card.network.topology.set_positions(model.step(1.0))
+            for s in range(card_k.network.num_nodes):
+                out_k, res_k = card_k.maintain(s)
+                out_o, res_o = card_o.maintain(s)
+                assert out_k == out_o
+                assert (res_k is None) == (res_o is None)
+                if res_k is not None:
+                    replenished += res_k.attempts
+                    assert_same_selection({s: res_k}, {s: res_o})
+        assert replenished > 0
+        for s in range(card_k.network.num_nodes):
+            ta, tb = card_k.table_for(s), card_o.table_for(s)
+            assert ta.ids() == tb.ids()
+            assert [c.path for c in ta] == [c.path for c in tb]
+        assert_same_stats(card_k.network, card_o.network)
 
 
 # ----------------------------------------------------------------------

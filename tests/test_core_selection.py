@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.oracle import ReferenceSelector
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.selection import ContactSelector
 from repro.core.state import ContactTable
@@ -23,78 +24,113 @@ def make_selector(topo, params):
     return ContactSelector(net, tables, params), net, tables
 
 
+def oracle_admitter(topo, params):
+    """The per-hop oracle's ``admit``."""
+    sel = ReferenceSelector(
+        Network(topo), NeighborhoodTables(topo, params.R), params
+    )
+    return sel.admit, sel.tables
+
+
+def kernel_admitter(topo, params):
+    """The walk kernel's decision: admissibility mask, then the PM draw."""
+    sel, _, tables = make_selector(topo, params)
+
+    def admit(candidate, source, contact_list, edge_list, d, rng):
+        mask = sel._admissible_mask(source, contact_list, edge_list)
+        return bool(mask[candidate]) and sel._admit_draw(d, rng)
+
+    return admit, tables
+
+
+@pytest.fixture(params=[oracle_admitter, kernel_admitter], ids=["oracle", "kernel"])
+def admitter(request):
+    return request.param
+
+
 class TestAdmission:
-    def test_em_rejects_overlap_with_source(self):
+    def test_em_rejects_overlap_with_source(self, admitter):
         topo = line_topology(20)
         params = CARDParams(R=2, r=8, method=SelectionMethod.EM)
-        sel, _, tables = make_selector(topo, params)
+        admit, tables = admitter(topo, params)
         rng = np.random.default_rng(0)
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         # node 3 is within 2R of source 0: edge node 2 is its neighbor
-        assert not sel.admit(3, 0, (), edge_list, d=3, rng=rng)
+        assert not admit(3, 0, (), edge_list, d=3, rng=rng)
         # node 6 is beyond 2R+1: no source/edge overlap
-        assert sel.admit(6, 0, (), edge_list, d=6, rng=rng)
+        assert admit(6, 0, (), edge_list, d=6, rng=rng)
 
-    def test_em_rejects_contact_neighborhood_overlap(self):
+    def test_em_rejects_contact_neighborhood_overlap(self, admitter):
         topo = line_topology(20)
         params = CARDParams(R=2, r=10, method=SelectionMethod.EM)
-        sel, _, tables = make_selector(topo, params)
+        admit, tables = admitter(topo, params)
         rng = np.random.default_rng(0)
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         # 8 would be admissible, but 7 is already a contact and 8 is within
         # R=2 of 7 → overlap with an existing contact's neighborhood
-        assert not sel.admit(8, 0, (7,), edge_list, d=8, rng=rng)
+        assert not admit(8, 0, (7,), edge_list, d=8, rng=rng)
         # 10 is 3 hops from contact 7 → no overlap
-        assert sel.admit(10, 0, (7,), edge_list, d=10, rng=rng)
+        assert admit(10, 0, (7,), edge_list, d=10, rng=rng)
+        # an existing contact is never re-admitted
+        assert not admit(7, 0, (7,), edge_list, d=7, rng=rng)
 
-    def test_em_guarantees_distance_beyond_2R(self):
+    def test_em_guarantees_distance_beyond_2R(self, admitter):
         """EM admission implies true hop distance > 2R (the Fig 1 fix)."""
         topo = random_topology(n=100, seed=7)
         params = CARDParams(R=2, r=8, method=SelectionMethod.EM)
-        sel, _, tables = make_selector(topo, params)
+        admit, tables = admitter(topo, params)
         rng = np.random.default_rng(1)
         dist = g.hop_distance_matrix(topo.adj)  # test oracle
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         for x in range(1, 100):
-            if sel.admit(x, 0, (), edge_list, d=5, rng=rng):
+            if admit(x, 0, (), edge_list, d=5, rng=rng):
                 assert dist[0, x] > 2 * params.R or dist[0, x] == -1
 
-    def test_pm_probability_zero_inside_band(self):
+    def test_pm_probability_zero_inside_band(self, admitter):
         topo = line_topology(20)
         params = CARDParams(R=2, r=10, method=SelectionMethod.PM, pm_equation=2)
-        sel, _, _ = make_selector(topo, params)
+        admit, _ = admitter(topo, params)
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         # d == 2R → P = 0, never admitted even without overlap
-        assert not any(sel.admit(9, 0, (), (), d=4, rng=rng) for _ in range(50))
+        assert not any(admit(9, 0, (), (), d=4, rng=rng) for _ in range(50))
+        # ... and no draw is spent on a zero probability
+        assert rng.bit_generator.state == state
 
-    def test_pm_probability_one_at_r(self):
+    def test_pm_probability_one_at_r(self, admitter):
         topo = line_topology(20)
         params = CARDParams(R=2, r=10, method=SelectionMethod.PM, pm_equation=2)
-        sel, _, _ = make_selector(topo, params)
+        admit, _ = admitter(topo, params)
         rng = np.random.default_rng(0)
-        assert sel.admit(12, 0, (), (), d=10, rng=rng)
+        assert admit(12, 0, (), (), d=10, rng=rng)
 
-    def test_pm_ignores_edge_list(self):
+    def test_pm_ignores_edge_list(self, admitter):
         """PM checks source+contacts only; a node near an edge node can win."""
         topo = line_topology(20)
         params = CARDParams(R=2, r=10, method=SelectionMethod.PM, pm_equation=1)
-        sel, _, tables = make_selector(topo, params)
+        admit, tables = admitter(topo, params)
         rng = np.random.default_rng(0)
         # node 5: within R of edge node 2? dist(5,2)=3 > R... choose node 4:
         # not in source's R=2 neighborhood, d=4 with eq1 → P=(4-2)/(10-2)=.25
-        hits = sum(sel.admit(5, 0, (), tuple(tables.edge_nodes(0)), d=5, rng=rng) for _ in range(300))
+        hits = sum(admit(5, 0, (), tuple(tables.edge_nodes(0)), d=5, rng=rng) for _ in range(300))
         assert 0 < hits < 300  # probabilistic admission, not deterministic
 
-    def test_ablation_flags_disable_checks(self):
+    def test_ablation_flags_disable_checks(self, admitter):
         topo = line_topology(20)
-        params = CARDParams(
-            R=2, r=10, method=SelectionMethod.EM,
-            check_contact_overlap=False, check_edge_overlap=False,
+        checked = CARDParams(R=2, r=10, method=SelectionMethod.EM)
+        unchecked = checked.with_(
+            check_contact_overlap=False, check_edge_overlap=False
         )
-        sel, _, _ = make_selector(topo, params)
-        rng = np.random.default_rng(0)
-        # 8 overlaps contact 7's neighborhood but the check is off
-        assert sel.admit(8, 0, (7,), (), d=8, rng=rng)
+        for params, expect in ((checked, False), (unchecked, True)):
+            admit, tables = admitter(topo, params)
+            rng = np.random.default_rng(0)
+            edge_list = tuple(int(e) for e in tables.edge_nodes(0))
+            # 8 overlaps contact 7's neighborhood
+            assert admit(8, 0, (7,), (), d=8, rng=rng) is expect
+            # 3 is outside the source's R=2 zone but next to edge node 2
+            assert admit(3, 0, (), edge_list, d=3, rng=rng) is expect
+            # identity dedup holds whatever the flags say
+            assert not admit(7, 0, (7,), edge_list, d=7, rng=rng)
 
 
 class TestWalk:

@@ -880,16 +880,24 @@ class TestRealTree:
         ]
         assert hits, data["findings"]
 
+    @pytest.mark.parametrize(
+        "rel, line, forbidden",
+        [
+            ("net/stats.py", "from repro.campaign import store", "repro.campaign"),
+            # the per-hop walk oracle must stay off the simulation path
+            ("core/selection.py", "from repro.bench import oracle", "repro.bench"),
+        ],
+        ids=["orchestration", "oracle"],
+    )
     def test_injected_layering_violation_fails_the_build(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, rel, line, forbidden
     ):
         # same end-to-end contract for the layering family: a simulation
-        # module importing orchestration must fail the build (CARD-L02)
+        # module importing a forbidden layer must fail the build (CARD-L02)
         shutil.copytree(REPO / "src", tmp_path / "src")
-        target = tmp_path / "src" / "repro" / "net" / "stats.py"
+        target = tmp_path / "src" / "repro" / rel
         target.write_text(
-            target.read_text(encoding="utf-8")
-            + "\n\nfrom repro.campaign import store as _store\n",
+            target.read_text(encoding="utf-8") + f"\n\n{line} as _injected\n",
             encoding="utf-8",
         )
         monkeypatch.chdir(tmp_path)
@@ -901,6 +909,8 @@ class TestRealTree:
         hits = [
             f
             for f in data["findings"]
-            if f["rule"] == "CARD-L02" and f["path"].endswith("net/stats.py")
+            if f["rule"] == "CARD-L02"
+            and f["path"].endswith(rel)
+            and forbidden in f["message"]
         ]
         assert hits, data["findings"]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.campaign.store import ResultStore
 from repro.service.http import make_server
 from repro.service.queue import WorkQueue
@@ -76,6 +79,25 @@ class TestReadRoutes:
     def test_wrong_verb_405(self, server):
         status, payload = request(server, "POST", "/artifacts")
         assert status == 405
+
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Sequential requests on one connection answer promptly: header
+        and body writes must not wait out Nagle + delayed ACK (~40 ms)."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        trace = obs.CellTrace("keep-alive")
+        try:
+            for _ in range(10):
+                with trace.span("GET /artifacts"):
+                    conn.request("GET", "/artifacts")
+                    resp = conn.getresponse()
+                    resp.read()
+                assert resp.status == 200
+        finally:
+            conn.close()
+        elapsed = [s["t1"] - s["t0"] for s in trace.spans]
+        assert statistics.median(elapsed) < 0.020, elapsed
 
 
 class TestRunRoute:
