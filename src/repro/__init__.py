@@ -19,18 +19,16 @@ Package layout
 ``repro.net``        — wireless substrate (topology, graph, messages, stats)
 ``repro.des``        — discrete-event engine
 ``repro.mobility``   — random-waypoint and friends
-``repro.routing``    — neighborhood oracle + scoped DSDV
+``repro.routing``    — the R-hop neighborhood oracle
 ``repro.discovery``  — flooding / expanding-ring / bordercast baselines
 ``repro.scenarios``  — Table 1 scenarios and workload generation
 ``repro.metrics``    — comparison and summary helpers
 ``repro.campaign``   — declarative sweep grids run over a process pool
-                       with a persistent, resumable JSONL result store
-                       (``python -m repro.campaign``)
+                       with a persistent, resumable result store;
+                       ``python -m repro.campaign figure <id>|all``
+                       regenerates artifacts from the command line
 ``repro.artifacts``  — the paper-artifact registry: each table/figure as
                        an ``Artifact`` (spec builder + reducer + metadata)
-``repro.experiments``— campaign-first regeneration by id (CLI); the old
-                       per-figure loops are gone (golden fixtures pin output)
-                       as parity oracles
 ``repro.api``        — the stable facade: ``list_artifacts`` /
                        ``describe`` / ``run`` (multi-seed mean ± CI)
 """
@@ -46,18 +44,11 @@ from repro.core import (
     TimeSeriesRunner,
 )
 from repro.des import Simulator
-from repro.mobility import (
-    GaussMarkov,
-    RandomWalk,
-    RandomWaypoint,
-    StaticMobility,
-)
+from repro.mobility import GaussMarkov, RandomWalk, RandomWaypoint
 from repro.net import MessageStats, Network, Topology
-from repro.net.energy import EnergyModel
 from repro.net.failures import FailureInjector
-from repro.resources import ResourceQueryEngine, ResourceRegistry
 from repro.analysis import smallworld_report
-from repro.routing import DSDVNeighborhoodTables, NeighborhoodTables, ScopedDSDV
+from repro.routing import NeighborhoodTables
 from repro.discovery import (
     BordercastDiscovery,
     CARDDiscoveryAdapter,
@@ -89,18 +80,12 @@ __all__ = [
     "GaussMarkov",
     "RandomWalk",
     "RandomWaypoint",
-    "StaticMobility",
     "MessageStats",
     "Network",
     "Topology",
-    "EnergyModel",
     "FailureInjector",
-    "ResourceQueryEngine",
-    "ResourceRegistry",
     "smallworld_report",
-    "DSDVNeighborhoodTables",
     "NeighborhoodTables",
-    "ScopedDSDV",
     "BordercastDiscovery",
     "CARDDiscoveryAdapter",
     "ExpandingRingDiscovery",

@@ -24,12 +24,12 @@ reduces to a mean ± 95 %-CI variant via
 :func:`repro.campaign.aggregate.group_reduce` (one row per case/grid
 configuration, averaged over seeds only).
 
-Layering contract: this module never imports anything under
-:mod:`repro.experiments` — the facade sits below the CLI harness, which
-imports *it*.  ``tests/test_api.py`` enforces this in a fresh
-interpreter.  (The one-time ``repro.experiments.legacy`` parity oracles
-are gone; output stability is pinned by the golden fixtures under
-``tests/golden/``.)
+Layering contract: importing this module never loads the
+``python -m repro.campaign`` CLI (:mod:`repro.campaign.__main__`) — the
+facade sits below the CLI, which imports *it*.  ``card-lint`` rule
+CARD-L01 checks this statically and ``tests/test_api.py`` in a fresh
+interpreter.  Output stability is pinned by the golden fixtures under
+``tests/golden/``.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """First-class paper artifacts: one declarative object per table/figure.
 
 This package is the single registry behind every way of regenerating a
-paper artifact — the :mod:`repro.api` facade, ``python -m
-repro.experiments`` / ``card-repro``, and ``python -m repro.campaign
-figure`` all resolve ids here:
+paper artifact — the :mod:`repro.api` facade, ``python -m repro.campaign
+figure`` / ``card-campaign figure`` and the HTTP service all resolve ids
+here:
 
 * :mod:`repro.artifacts.result` — :class:`ExperimentResult`, the
   renderable table every producer returns;
-* :mod:`repro.artifacts.tables` — the shared row/header/plot assembly
-  (used by both the campaign reducers and the legacy parity oracles, so
-  the two emit bit-identical artifacts);
+* :mod:`repro.artifacts.tables` — the row/header/plot assembly the
+  campaign reducers share;
 * :mod:`repro.artifacts.registry` — :class:`Artifact` (CampaignSpec
   builder + store reducer + metadata: paper section, snapshot|series
   regime, default scale profile, seed tuple) and the :data:`ARTIFACTS`

@@ -11,12 +11,9 @@ reduces the store back into an
 :class:`~repro.artifacts.result.ExperimentResult`.
 
 Everything resolves ids here: :func:`repro.api.run`, ``python -m
-repro.experiments`` / ``card-repro`` (via the experiment registry, whose
-entries are these artifacts' ``run`` methods), and ``python -m
-repro.campaign figure``.  Output stability is enforced by the pinned
-golden fixtures under ``tests/golden/`` (``pytest -m parity``) — the
-legacy per-figure oracle loops were deleted once the campaign path had
-baked.
+repro.campaign figure`` and the HTTP service.  Output stability is
+enforced by the pinned golden fixtures under ``tests/golden/``
+(``pytest -m parity``).
 """
 
 from __future__ import annotations
@@ -266,7 +263,7 @@ def _des(id, title, section, build_spec, reduce, **kw) -> Artifact:
     )
 
 
-#: id → Artifact, in ``python -m repro.experiments all`` execution order.
+#: id → Artifact, in ``python -m repro.campaign figure all`` execution order.
 ARTIFACTS: Dict[str, Artifact] = {
     a.id: a
     for a in (
@@ -431,7 +428,7 @@ ARTIFACTS: Dict[str, Artifact] = {
             figures.ablation_query_spec,
             figures.reduce_ablation_query,
             description="Directed DSQ vs TTL-escalated flooding (+ dedup)",
-            xl_defaults={"num_queries": 60, "num_sources": 400},
+            xl_defaults={"num_queries": 60},
         ),
         _series(
             "ablation_mobility",
@@ -448,7 +445,7 @@ ARTIFACTS: Dict[str, Artifact] = {
             figures.ablation_failures_spec,
             figures.reduce_ablation_failures,
             description="Query success before/after a crash wave and repair",
-            xl_defaults={"num_queries": 60, "num_sources": 400},
+            xl_defaults={"num_queries": 60},
         ),
         _snapshot(
             "ablation_edge_policy",

@@ -1,16 +1,11 @@
 """Table assembly shared by every campaign reducer.
 
-Every paper artifact is ultimately a table (plus ASCII plots), and both
-producers of an artifact — the campaign-first reducer in
-:mod:`repro.campaign.figures` and the legacy parity oracle in
-the historical per-figure loops — must emit the *same* table
-bit-for-bit.  The row/header/plot assembly therefore lives here, once,
-below both layers: a reducer feeds it values out of the JSONL result
-store, an oracle feeds it values straight from its in-process loop, and
-the parity matrix holds the two outputs equal.
+Every paper artifact is ultimately a table (plus ASCII plots).  The
+reducers in :mod:`repro.campaign.figures` feed this module values out of
+the result store; the row/header/plot assembly lives here, once, and the
+golden matrix (``pytest -m parity``) pins its output bit-for-bit.
 
-This module must not import :mod:`repro.experiments` (the facade's
-import-layering contract) nor :mod:`repro.campaign` (the reducers import
+This module must not import :mod:`repro.campaign` (the reducers import
 us).  It knows nothing about how values were measured — only how each
 figure's table is laid out.
 """

@@ -32,10 +32,10 @@ objects instead of bespoke per-figure loops:
   ``pytest -m parity``); the
   :mod:`repro.artifacts.registry` binds them into the
   :class:`~repro.artifacts.registry.Artifact` registry that the
-  ``repro.api`` facade and the experiment CLI execute;
+  ``repro.api`` facade and the ``figure`` command execute;
 * ``python -m repro.campaign run|resume|status|report|figure`` — the
-  command-line workflow (see ``--help``; ``figure <id>`` regenerates any
-  paper artifact, ``report --format csv|json`` feeds external plotting).
+  command-line workflow (see ``--help``; ``figure <id>|all`` regenerates
+  paper artifacts, ``report --format csv|json`` feeds external plotting).
 
 Quickstart
 ----------
@@ -95,7 +95,7 @@ __all__ = [
     "CampaignReport",
     "CellOutcome",
     "execute_cell",
-    # resolved lazily: aggregate/figures pull in the experiment harness
+    # resolved lazily: aggregate/figures pull in the artifact layer
     "aggregate",
     "aggregate_table",
     "stored_records",
@@ -105,8 +105,6 @@ __all__ = [
     "CAMPAIGN_FIGURES",
     "campaign_figure_ids",
     "get_figure_port",
-    "run_fig07_campaign",
-    "run_table1_campaign",
 ]
 
 _LAZY_AGGREGATE = (
@@ -119,8 +117,6 @@ _LAZY_FIGURES = (
     "CAMPAIGN_FIGURES",
     "campaign_figure_ids",
     "get_figure_port",
-    "run_fig07_campaign",
-    "run_table1_campaign",
 )
 
 
@@ -130,7 +126,7 @@ def __getattr__(name):
     ``aggregate`` and ``figures`` pull in the artifact layer and every
     spec builder/reducer; deferring them keeps plain ``import repro``
     lightweight.  The pre-redesign registry surface (``CAMPAIGN_FIGURES``,
-    ``get_figure_port``, ``run_<id>_campaign``) now lives in
+    ``get_figure_port``) now lives in
     :mod:`repro.artifacts.registry` and resolves through
     ``figures.__getattr__`` for backward compatibility.
     """
@@ -141,7 +137,6 @@ def __getattr__(name):
     if (
         name == "figures"
         or name in _LAZY_FIGURES
-        or (name.startswith("run_") and name.endswith("_campaign"))
         or (name.endswith("_spec") and not name.startswith("_"))
     ):
         import repro.campaign.figures as figures

@@ -20,6 +20,14 @@ prints the exact legacy table::
     python -m repro.campaign run fig10.json --store fig10.jsonl --workers 4
     python -m repro.campaign figure fig10 --store fig10.jsonl --scale 0.5
 
+``figure --list`` prints the artifact ids; ``figure all`` regenerates
+every artifact once (the joint ``fig03_04`` sweep is skipped: ``fig03``
+and ``fig04`` already cover it); ``--seeds 0,1,2`` reports the
+mean ± 95 % CI over several root seeds via :func:`repro.api.run`::
+
+    python -m repro.campaign figure all --scale 0.3 --sources 40 --store all.jsonl
+    python -m repro.campaign figure fig07 --seeds 0,1,2
+
 The result store defaults to ``<spec>.results.jsonl`` next to the spec
 file; pass ``--store`` to share one store between campaigns.  Stores are
 append-only JSONL keyed by cell content hash — interrupting a run loses
@@ -255,23 +263,54 @@ def _cmd_report(args) -> int:
     return 0
 
 
+#: artifacts that re-derive other registered artifacts (the joint
+#: fig03+fig04 sweep); ``figure all`` skips them so each table prints once
+DERIVED_ARTIFACTS = frozenset({"fig03_04"})
+
+
+def _parse_seeds(text: str) -> tuple:
+    """``"0,1,2"`` → ``(0, 1, 2)``."""
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(
+            f"--seeds expects comma-separated integers (e.g. 0,1,2), "
+            f"got {text!r}"
+        ) from None
+    if not seeds:
+        raise ValueError(f"--seeds expects at least one seed, got {text!r}")
+    return seeds
+
+
 def _cmd_figure(args) -> int:
     """Write an artifact's spec, or execute + reduce it to its table.
 
     Unknown ids fail with the full list of valid artifact ids (the
     registry's ``ValueError``, rendered by ``main``'s error handler).
     """
-    from repro.artifacts.registry import get_artifact
+    from repro import api
+    from repro.artifacts.registry import ARTIFACTS, get_artifact
 
-    artifact = get_artifact(args.exp_id)
-    kwargs = {"scale": args.scale, "seed": args.seed}
+    if args.list or args.exp_id is None:
+        print("\n".join(ARTIFACTS))
+        return 0
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
+    if args.exp_id == "all":
+        if args.out is not None:
+            raise ValueError("--out writes one artifact's spec; name an id")
+        ids = [i for i in ARTIFACTS if i not in DERIVED_ARTIFACTS]
+    else:
+        ids = [get_artifact(args.exp_id).id]
+    kwargs = {"scale": args.scale}
     if args.sources is not None:
         kwargs["num_sources"] = args.sources
     if args.duration is not None:
         kwargs["duration"] = args.duration
 
     if args.out is not None:
-        spec = artifact.spec(**kwargs)
+        if seeds is not None:
+            raise ValueError("--seeds runs the mean±CI variant; drop --out")
+        spec = ARTIFACTS[ids[0]].spec(seed=args.seed or 0, **kwargs)
         out = Path(args.out)
         spec.save(out)
         print(f"wrote {spec.num_cells}-cell spec {spec.name!r} to {out}")
@@ -282,18 +321,24 @@ def _cmd_figure(args) -> int:
         )
         return 0
     store = open_store(args.store)
-    result = artifact.run(
-        store=store,
-        n_workers=args.workers,
-        telemetry=getattr(args, "trace", None),
-        **kwargs,
-    )
-    print(result.render())
+    for exp_id in ids:
+        result = api.run(
+            exp_id,
+            seed=args.seed,
+            seeds=seeds,
+            workers=args.workers,
+            store=store,
+            telemetry=getattr(args, "trace", None),
+            **kwargs,
+        )
+        print(result.render())
+        if result.telemetry is not None:
+            print(f"traced {result.telemetry['cells']} cells "
+                  f"({result.telemetry['total_cell_seconds']:.2f} cell-seconds)")
+        if len(ids) > 1:
+            print()
     if store.path is not None:
         print(f"store: {store.path} ({len(store)} records)")
-    if result.telemetry is not None:
-        print(f"traced {result.telemetry['cells']} cells "
-              f"({result.telemetry['total_cell_seconds']:.2f} cell-seconds)")
     return 0
 
 
@@ -492,7 +537,14 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_figure.add_argument(
         "exp_id",
-        help="artifact id (e.g. fig10, table1, smallworld, mobility_rate)",
+        nargs="?",
+        help=(
+            "artifact id (e.g. fig10, table1, smallworld, mobility_rate), "
+            "or 'all' for every artifact once"
+        ),
+    )
+    p_figure.add_argument(
+        "--list", action="store_true", help="list the artifact ids and exit"
     )
     p_figure.add_argument(
         "--out",
@@ -502,7 +554,10 @@ def main(argv: Optional[list] = None) -> int:
     p_figure.add_argument(
         "--store",
         default=None,
-        help="JSONL result store (default: in-memory, nothing persisted)",
+        help=(
+            "result store: a JSONL path or sqlite:///path.db "
+            "(default: in-memory, nothing persisted)"
+        ),
     )
     p_figure.add_argument("--workers", type=int, default=1, help="process-pool width")
     add_trace_arg(p_figure)
@@ -511,7 +566,18 @@ def main(argv: Optional[list] = None) -> int:
         default="1.0",
         help="size scale: a number or a profile name (paper, xl=20x)",
     )
-    p_figure.add_argument("--seed", type=int, default=0, help="root seed")
+    p_figure.add_argument(
+        "--seed", type=int, default=None, help="root seed (default 0)"
+    )
+    p_figure.add_argument(
+        "--seeds",
+        default=None,
+        metavar="a,b,c",
+        help=(
+            "comma-separated root seeds: run the sweep once per seed and "
+            "report mean ± 95%% CI (exclusive with --seed)"
+        ),
+    )
     p_figure.add_argument(
         "--sources", type=int, default=None, help="measured source sample size"
     )

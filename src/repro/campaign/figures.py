@@ -17,9 +17,8 @@ Each artifact ``<id>`` is declared in two halves:
 in ``tests/test_golden_artifacts.py`` (``pytest -m parity``) holds every
 reduced artifact bit-for-bit equal to its pinned fixture under
 ``tests/golden/``, across seeds and worker counts.  (The fixtures were
-captured from the campaign path while the deleted
-``repro.experiments.legacy`` oracles still proved it equal to an
-independent implementation.)
+captured from the campaign path while an independent per-figure
+implementation still proved it equal.)
 
 Why the numbers match the historical per-figure runners exactly:
 
@@ -1193,7 +1192,6 @@ def ablation_query_spec(
     scale: float = 1.0,
     seed: int = 0,
     num_queries: int = 40,
-    num_sources: Optional[int] = None,
 ) -> CampaignSpec:
     """Query-scheme ablation: one cell per discovery scheme."""
     n = scaled(500, scale, minimum=80)
@@ -1291,7 +1289,6 @@ def ablation_failures_spec(
     noc: int = 5,
     fail_fraction: float = 0.15,
     num_queries: int = 40,
-    num_sources: Optional[int] = None,
 ) -> CampaignSpec:
     """Node-crash robustness as a single three-phase campaign cell."""
     n = scaled(500, scale, minimum=80)
@@ -1729,8 +1726,8 @@ def __getattr__(name):
     """Resolve the pre-redesign registry surface against the new one.
 
     ``CAMPAIGN_FIGURES`` / ``FigurePort`` / ``get_figure_port`` /
-    ``campaign_figure_ids`` and the ``run_<id>_campaign`` callables moved
-    to :mod:`repro.artifacts.registry` (the single artifact registry);
+    ``campaign_figure_ids`` moved to :mod:`repro.artifacts.registry`
+    (the single artifact registry);
     they stay importable from here so pre-flip campaign scripts keep
     running.  The import happens lazily because the registry imports
     this module.
@@ -1745,8 +1742,4 @@ def __getattr__(name):
         return registry.get_artifact
     if name == "campaign_figure_ids":
         return registry.artifact_ids
-    if name.startswith("run_") and name.endswith("_campaign"):
-        artifact_id = name[len("run_"):-len("_campaign")]
-        if artifact_id in registry.ARTIFACTS:
-            return registry.ARTIFACTS[artifact_id].run
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -162,6 +162,21 @@ def _json_value(name: str, value: object) -> object:
     )
 
 
+def _check_num_sources(value: object) -> None:
+    """``num_sources`` is None (every node) or a sample size >= 1."""
+    if value is None:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ValueError(
+            f"num_sources must be an integer >= 1 (None measures every "
+            f"node), got {value!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 #: Known mobility models and the :class:`MobilitySpec` fields each reads.
 MOBILITY_MODELS: Dict[str, Tuple[str, ...]] = {
@@ -592,6 +607,7 @@ class CellSpec:
             )
         if not self.metrics:
             raise ValueError("a cell must record at least one metric family")
+        _check_num_sources(self.num_sources)
         self._validate_regime()
         if self.workload is not None:
             object.__setattr__(
@@ -918,6 +934,7 @@ class CampaignSpec:
             )
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
+        _check_num_sources(self.num_sources)
         overlap = set(self.grid) & set(self.base_params)
         if overlap:
             raise ValueError(

@@ -108,7 +108,7 @@ class ContactSelector:
     network:
         Connectivity, clock and message accounting.
     tables:
-        R-hop neighborhood knowledge (oracle or DSDV-backed adapter).
+        R-hop neighborhood knowledge (the scoped-BFS oracle).
     params:
         CARD configuration (method, R, r, NoC, caps).
     """

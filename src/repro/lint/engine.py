@@ -103,19 +103,19 @@ class LayerConstraint:
 
 
 #: The repo's dependency DAG, as data.  ``repro.api``/``repro.artifacts``
-#: sit above the campaign engine and must never pull the legacy
-#: experiment harness back in (not even at import time — the facade's
-#: contract is that ``import repro.api`` loads no ``repro.experiments``
-#: module).  ``repro.net``/``repro.core``/``repro.des`` are simulation
+#: sit below the ``python -m repro.campaign`` command line, which imports
+#: them; they must never load it back (not even at import time — the
+#: facade's contract is that ``import repro.api`` runs no CLI module).
+#: ``repro.net``/``repro.core``/``repro.des`` are simulation
 #: layers: orchestration (campaign/service/artifacts) may import them,
 #: never the reverse, not even lazily.
 DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
     LayerConstraint(
         rule="CARD-L01",
         sources=("repro.api", "repro.artifacts"),
-        forbidden=("repro.experiments",),
+        forbidden=("repro.campaign.__main__",),
         include_deferred=False,
-        reason="the stable facade must not load the legacy harness",
+        reason="the stable facade must not load the command-line front end",
     ),
     LayerConstraint(
         rule="CARD-L02",
@@ -185,6 +185,14 @@ class LintConfig:
     )
     #: entry points whose import closure must be entropy-free (CARD-D03)
     cell_entry_roots: Tuple[str, ...] = ("repro.campaign.runner",)
+    #: what users reach (CARD-L03): the facade, the artifact registry and
+    #: every ``[project.scripts]`` target that is not a ``__main__``
+    #: module; CARD-L03 adds every ``__main__`` module and its package
+    live_roots: Tuple[str, ...] = (
+        "repro.api",
+        "repro.artifacts.registry",
+        "repro.lint.cli",
+    )
     layer_constraints: Tuple[LayerConstraint, ...] = DEFAULT_LAYER_CONSTRAINTS
     #: only run rules whose id starts with one of these (empty = all)
     select: Tuple[str, ...] = ()

@@ -8,7 +8,10 @@ two questions without running any code:
 * which modules can :func:`repro.campaign.runner.execute_cell` possibly
   reach at *run* time (here lazy imports count — a worker executes them)?
 
-Both reduce to reachability over one graph: every module of the package
+* which modules can *anything* reach — an artifact, :mod:`repro.api` or
+  a command-line entry point (:meth:`ImportGraph.live`, CARD-L03)?
+
+All reduce to reachability over one graph: every module of the package
 is a node, every ``import``/``from … import`` statement an edge tagged
 with whether it executes at import time (``deferred=False``) or only
 when the enclosing function runs (``deferred=True``).  Imports guarded
@@ -40,6 +43,12 @@ class ImportEdge:
     #: True when the import only executes if some function is called
     #: (function body or ``TYPE_CHECKING`` guard).
     deferred: bool
+    #: ``from dst import a, b as c``: the names taken from ``dst``
+    #: (``("a", "b")``) and the local names bound (``("a", "c")``);
+    #: submodules are edges of their own.  ``None`` for ``import dst``,
+    #: which binds the whole module.
+    names: Optional[Tuple[str, ...]] = None
+    binds: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -153,6 +162,55 @@ class ImportGraph:
                     continue
                 reach(edge.dst, current)
         return parents
+
+    def is_package(self, module: str) -> bool:
+        """True when ``module`` is a package (its file is ``__init__.py``)."""
+        path = self.modules.get(module)
+        return path is not None and path.name == "__init__.py"
+
+    def live(self, roots: Sequence[str]) -> Set[str]:
+        """Modules whose code some root can execute (CARD-L03).
+
+        The walk is :meth:`closure` with deferred imports and without
+        ancestor re-exports, plus the ancestor packages of every reached
+        module, refined for package re-exports: ``from pkg import name``
+        into a package that is not a root follows only the
+        ``pkg/__init__`` imports that bind ``name``.  A module re-exported
+        by a package ``__init__`` is therefore live only when a live
+        module imports it, directly or by name through the package.
+        """
+        whole: Set[str] = set()  # modules walked in full
+        taken: Dict[str, Set[str]] = {}  # package -> names resolved
+        queue: List[Tuple[str, Optional[Tuple[str, ...]]]] = [
+            (r, None) for r in roots if r in self.modules
+        ]
+        while queue:
+            module, names = queue.pop()
+            if module in whole:
+                continue
+            if (
+                names is not None
+                and "*" not in names
+                and self.is_package(module)
+            ):
+                seen = taken.setdefault(module, set())
+                wanted = set(names) - seen
+                seen |= wanted
+                exports = [
+                    e
+                    for e in self.imports_of(module, include_deferred=True)
+                    if wanted & set(e.binds)
+                ]
+                if wanted <= {b for e in exports for b in e.binds}:
+                    queue.extend((e.dst, e.names) for e in exports)
+                    continue
+                # a name the package defines itself: its code runs
+            whole.add(module)
+            for edge in self.imports_of(module, include_deferred=True):
+                if not module.startswith(edge.dst + "."):
+                    queue.append((edge.dst, edge.names))
+        reached = (whole | set(taken)) & set(self.modules)
+        return reached.union(*(self.ancestors(m) for m in reached))
 
     # ------------------------------------------------------------------
     def toplevel_cycles(self) -> List[List[str]]:
@@ -291,11 +349,19 @@ class _ImportCollector(ast.NodeVisitor):
         return self._depth > 0 or self._guarded > 0
 
     # -- import statements ---------------------------------------------
-    def _add(self, dst: str, lineno: int) -> None:
+    def _add(
+        self,
+        dst: str,
+        lineno: int,
+        names: Optional[Tuple[str, ...]] = None,
+        binds: Tuple[str, ...] = (),
+    ) -> None:
         root = self.graph.root
         if dst == root or dst.startswith(root + "."):
             self.edges.append(
-                ImportEdge(self.module, dst, lineno, self._deferred)
+                ImportEdge(
+                    self.module, dst, lineno, self._deferred, names, binds
+                )
             )
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -307,11 +373,7 @@ class _ImportCollector(ast.NodeVisitor):
             # resolve `from .x import y` against this module's package
             parts = self.module.split(".")
             # a package module (its file is __init__.py) is its own package
-            is_package = (
-                self.graph.modules[self.module].name == "__init__.py"
-                if self.module in self.graph.modules
-                else False
-            )
+            is_package = self.graph.is_package(self.module)
             cut = len(parts) - node.level + (1 if is_package else 0)
             if cut < 1:
                 return
@@ -322,7 +384,17 @@ class _ImportCollector(ast.NodeVisitor):
             base = node.module or ""
         if not base:
             return
-        self._add(base, node.lineno)
+        taken = [
+            alias
+            for alias in node.names
+            if f"{base}.{alias.name}" not in self.graph.modules
+        ]
+        self._add(
+            base,
+            node.lineno,
+            tuple(a.name for a in taken),
+            tuple(a.asname or a.name for a in taken),
+        )
         for alias in node.names:
             candidate = f"{base}.{alias.name}"
             if candidate in self.graph.modules:

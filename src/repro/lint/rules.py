@@ -21,11 +21,16 @@ Layering (the dependency DAG is data in
 :data:`repro.lint.engine.DEFAULT_LAYER_CONSTRAINTS`):
 
 * **CARD-L01** — the stable facade (``repro.api``, ``repro.artifacts``)
-  never imports the legacy ``repro.experiments`` harness at import time;
+  never loads the ``python -m repro.campaign`` front end
+  (``repro.campaign.__main__``) at import time;
 * **CARD-L02** — simulation layers (``repro.net``/``repro.core``/
   ``repro.des``) never import orchestration
   (``repro.campaign``/``repro.service``/``repro.artifacts``) or the
-  bench's reference oracles (``repro.bench``), not even lazily.
+  bench's reference oracles (``repro.bench``), not even lazily;
+* **CARD-L03** — every package module is live: reachable, lazily or
+  not, from ``repro.api``, the artifact registry, a console script or a
+  ``__main__`` module (:meth:`~repro.lint.importgraph.ImportGraph.live`).
+  A package ``__init__`` re-export alone does not make a module live.
 
 Concurrency/durability discipline:
 
@@ -467,6 +472,42 @@ class LayerRule(Rule):
 
 
 # ----------------------------------------------------------------------
+class DeadModuleRule(Rule):
+    id = "CARD-L03"
+    category = "layering"
+    summary = (
+        "every package module is reachable from the facade, the artifact "
+        "registry or a command-line entry point"
+    )
+    project_wide = True
+
+    def check_project(
+        self, graph: ImportGraph, config: LintConfig
+    ) -> List[Finding]:
+        if not any(root in graph.modules for root in config.live_roots):
+            return []  # not the configured package: nothing anchors the walk
+        # every `python -m pkg` target is a root, and so is its package
+        mains = [m for m in graph.modules if m.endswith(".__main__")]
+        packages = [m[: -len(".__main__")] for m in mains]
+        live = graph.live([*config.live_roots, *mains, *packages])
+        return [
+            Finding(
+                rule=self.id,
+                category=self.category,
+                path=_display(graph.modules[module]),
+                line=1,
+                col=1,
+                message=(
+                    f"{module} is dead code: no artifact, repro.api call or "
+                    "command-line entry point imports it; import it from a "
+                    "live module or delete it"
+                ),
+            )
+            for module in sorted(set(graph.modules) - live)
+        ]
+
+
+# ----------------------------------------------------------------------
 class SqliteTxnRule(Rule):
     id = "CARD-C01"
     category = "concurrency"
@@ -811,6 +852,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     CellEntropyRule(),
     LayerRule("CARD-L01"),
     LayerRule("CARD-L02"),
+    DeadModuleRule(),
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),

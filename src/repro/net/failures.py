@@ -13,7 +13,7 @@ loop absorbs crashes:
 * :meth:`FailureInjector.schedule_random_failures` — a Poisson-ish crash
   process over a node population;
 * listeners — the same hook mechanism the mobility driver uses, so zone
-  tables / DSDV can be notified.
+  tables can be notified.
 
 Failed nodes keep their index (ids are stable) but hold no links, receive
 nothing and transmit nothing.  CARD state *at* a failed node is not erased

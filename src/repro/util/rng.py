@@ -90,7 +90,7 @@ class RngStreams:
         """Return a *new* (uncached) generator for ``keys``.
 
         Useful when a component wants to re-run from its initial stream
-        state, e.g. replaying a mobility trace.
+        state, e.g. replaying a mobility model from its start.
         """
         return spawn_rng(self.seed, *keys)
 

@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 
 from repro.core.params import CARDParams
+from repro.mobility.base import MobilityModel
 from repro.net.network import Network
 from repro.net.topology import Topology
+
+
+class StaticMobility(MobilityModel):
+    """Nobody moves: ``step`` returns the starting positions unchanged.
+
+    A test stand-in for a mobility model (driver plumbing, runners on a
+    frozen topology); no artifact needs it, so it lives here.
+    """
+
+    def step(self, dt: float) -> np.ndarray:
+        if dt < 0:
+            raise ValueError("dt must be >= 0")
+        return self.positions
 
 
 def line_topology(n: int, spacing: float = 40.0, tx: float = 50.0) -> Topology:

@@ -3,7 +3,7 @@
 The golden fixtures under ``tests/golden/`` pin the exact artifact output
 (headers, rows, ASCII plots) of every registered artifact at small-N
 configurations, captured from the campaign path.  They replace the
-deleted ``repro.experiments.legacy`` parity oracles: instead of holding
+deleted per-figure parity oracles: instead of holding
 the campaign engine equal to a second live implementation, the matrix
 holds it equal to the committed output of the last validated build.
 
@@ -91,9 +91,9 @@ def canon(value):
 
 def capture(exp_id: str, seed: int) -> Dict[str, object]:
     """Run one artifact through the campaign path; return its pinned view."""
-    from repro.experiments.registry import run_experiment
+    from repro.artifacts.registry import ARTIFACTS
 
-    result = run_experiment(exp_id, seed=seed, **GOLDEN_KWARGS[exp_id])
+    result = ARTIFACTS[exp_id].run(seed=seed, **GOLDEN_KWARGS[exp_id])
     return {
         "headers": canon(list(result.headers)),
         "rows": canon([list(r) for r in result.rows]),

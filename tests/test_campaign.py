@@ -15,22 +15,13 @@ from repro.campaign.aggregate import (
     mean_ci,
     stored_records,
 )
-from repro.campaign.figures import (
-    fig07_spec,
-    run_fig07_campaign,
-    run_table1_campaign,
-    table1_spec,
-)
+from repro.artifacts.registry import ARTIFACTS
+from repro.campaign.figures import fig07_spec, table1_spec
 from repro.campaign.runner import CampaignRunner, execute_cell
 from repro.campaign.spec import CampaignSpec, CellSpec, TopologySpec, content_hash
 from repro.campaign.store import ResultStore
 from repro.campaign.__main__ import main as campaign_main
 from repro.core.params import CARDParams, SelectionMethod
-from repro.experiments.registry import (
-    DERIVED_EXPERIMENTS,
-    EXPERIMENTS,
-    run_experiment,
-)
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -167,6 +158,28 @@ class TestSpec:
             tiny_spec().expand()[0].__class__(
                 topology=TopologySpec(), metrics=("latency",)
             )
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "10"])
+    def test_num_sources_must_be_positive_int(self, bad):
+        with pytest.raises(ValueError, match="num_sources must be an integer >= 1"):
+            tiny_spec(num_sources=bad)
+        with pytest.raises(ValueError, match="num_sources"):
+            CellSpec(topology=TopologySpec(), num_sources=bad)
+
+    def test_valid_num_sources_keep_their_hash(self):
+        # validation is a check only: accepted values serialise as before
+        cell = CellSpec(topology=TopologySpec(), num_sources=np.int64(10))
+        assert cell.key() == CellSpec(topology=TopologySpec(), num_sources=10).key()
+        assert cell.to_dict()["num_sources"] == 10
+        assert "num_sources" not in CellSpec(topology=TopologySpec()).to_dict()
+
+    def test_api_rejects_num_sources_before_running(self, tmp_path):
+        from repro import api
+
+        store = tmp_path / "s.jsonl"
+        with pytest.raises(ValueError, match="num_sources"):
+            api.run("fig07", scale=0.15, num_sources=0, store=store)
+        assert not store.exists() or store.read_text() == ""
 
 
 # ----------------------------------------------------------------------
@@ -349,29 +362,13 @@ class TestAggregate:
 
 # ----------------------------------------------------------------------
 class TestFigurePorts:
-    def test_fig07_campaign_matches_legacy(self):
-        kwargs = dict(scale=0.25, seed=0, noc_values=(0, 2, 4), num_sources=20)
-        legacy = run_experiment("fig07", **kwargs)
-        campaign = run_fig07_campaign(**kwargs)
-        assert campaign.raw["means"] == legacy.raw["means"]
-        for label, column in legacy.raw["columns"].items():
-            assert (campaign.raw["columns"][label] == column).all()
-        # rendered tables carry identical data rows
-        assert campaign.rows == legacy.rows
-
     def test_fig07_campaign_parallel_matches_serial(self, tmp_path):
         kwargs = dict(scale=0.2, seed=0, noc_values=(0, 2), num_sources=15)
-        serial = run_fig07_campaign(n_workers=1, **kwargs)
-        parallel = run_fig07_campaign(
+        serial = ARTIFACTS["fig07"].run(n_workers=1, **kwargs)
+        parallel = ARTIFACTS["fig07"].run(
             n_workers=2, store=ResultStore(tmp_path / "s.jsonl"), **kwargs
         )
         assert serial.raw["means"] == parallel.raw["means"]
-
-    def test_table1_campaign_matches_legacy(self):
-        legacy = run_experiment("table1", scale=0.15, seed=0)
-        campaign = run_table1_campaign(scale=0.15, seed=0)
-        assert campaign.rows == legacy.rows
-        assert campaign.headers == legacy.headers
 
     def test_fig07_spec_declares_grid(self):
         spec = fig07_spec(scale=0.2, noc_values=(0, 4))
@@ -382,12 +379,6 @@ class TestFigurePorts:
         spec = table1_spec(scale=0.15)
         assert len(spec.topologies) == 8
         assert {t.scenario for t in spec.topologies} == set(range(1, 9))
-
-    def test_registry_exposes_campaign_ports_as_derived(self):
-        assert "fig07_campaign" in EXPERIMENTS
-        assert "table1_campaign" in EXPERIMENTS
-        assert "fig07_campaign" in DERIVED_EXPERIMENTS
-        assert "fig03_04" in DERIVED_EXPERIMENTS
 
 
 # ----------------------------------------------------------------------
@@ -467,13 +458,19 @@ class TestLayering:
 
         return build_graph(Path(repro.__file__).parent)
 
-    def test_import_repro_does_not_load_experiments(self):
+    def test_import_repro_does_not_load_artifact_layer(self):
         # the campaign exports reachable from `import repro` must not drag
-        # the whole experiment harness in (aggregate/figures are lazy) —
-        # asserted statically over the import-time edges of the graph
+        # every spec builder/reducer or the CLI in (aggregate/figures are
+        # lazy) — asserted statically over the import-time edges
         graph = self._graph()
         closure = graph.closure(["repro"], include_deferred=False)
-        bad = sorted(m for m in closure if m.startswith("repro.experiments"))
+        heavy = (
+            "repro.artifacts.registry",
+            "repro.campaign.aggregate",
+            "repro.campaign.figures",
+            "repro.campaign.__main__",
+        )
+        bad = sorted(m for m in closure if m in heavy)
         assert not bad, f"`import repro` reaches {bad}"
 
     def test_toplevel_import_graph_is_cycle_free(self):
@@ -489,7 +486,7 @@ class TestLayering:
         import subprocess, sys
 
         proc = subprocess.run(
-            [sys.executable, "-c", "import repro.experiments.registry"],
+            [sys.executable, "-c", "import repro.artifacts.registry"],
             capture_output=True,
             text=True,
         )

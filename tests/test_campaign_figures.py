@@ -18,6 +18,7 @@ Groups here:
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
@@ -40,7 +41,6 @@ from repro.campaign.spec import (
     TopologySpec,
 )
 from repro.campaign.store import ResultStore
-from repro.experiments.registry import run_experiment
 from repro.scenarios.factory import standard_topology
 
 
@@ -65,15 +65,28 @@ def tiny_series_cell(**overrides) -> CellSpec:
 # ----------------------------------------------------------------------
 class TestPortCoverage:
     def test_pre_flip_registry_surface_still_resolves(self):
-        # CAMPAIGN_FIGURES / get_figure_port / run_<id>_campaign moved to
+        # CAMPAIGN_FIGURES / get_figure_port moved to
         # repro.artifacts.registry but stay importable from figures
         from repro.campaign import figures
 
         assert figures.CAMPAIGN_FIGURES is ARTIFACTS
         assert figures.get_figure_port("fig10") is ARTIFACTS["fig10"]
-        assert figures.run_fig07_campaign == ARTIFACTS["fig07"].run
         with pytest.raises(AttributeError):
-            figures.run_nonsense_campaign
+            figures.run_fig07_campaign
+
+
+class TestSourcesValidation:
+    @pytest.mark.parametrize("art_id", list(ARTIFACTS))
+    def test_zero_sources_rejected_or_not_an_option(self, art_id):
+        # a builder either rejects num_sources=0 at spec construction or
+        # does not take the option (the registry filters it out, as for
+        # table1); none accepts it only to drop it
+        params = inspect.signature(ARTIFACTS[art_id].build_spec).parameters
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
+        if "num_sources" not in params:
+            return
+        with pytest.raises(ValueError, match="num_sources must be an integer >= 1"):
+            ARTIFACTS[art_id].spec(scale=0.15, num_sources=0)
 
 
 class TestCrossFigureCache:
@@ -82,20 +95,20 @@ class TestCrossFigureCache:
         computes the cells once (content-hash identity, not name)."""
         kwargs = dict(scale=0.2, seed=0, r_values=(8,), duration=4.0, num_sources=10)
         store = ResultStore(tmp_path / "shared.jsonl")
-        run_experiment("fig11_campaign", store=store, **kwargs)
+        ARTIFACTS["fig11"].run(store=store, **kwargs)
         executed_before = len(store)
         spec12 = fig12_spec(**kwargs)
         report = CampaignRunner(spec12, store=store).run()
         assert report.cached == report.total_cells  # nothing re-runs
         assert len(store) == executed_before
-        run_experiment("fig12_campaign", store=store, **kwargs)  # reduces too
+        ARTIFACTS["fig12"].run(store=store, **kwargs)  # reduces too
 
     def test_fig04_reuses_fig03_prefix(self, tmp_path):
         store = ResultStore(tmp_path / "shared.jsonl")
         kwargs = dict(scale=0.2, seed=0, num_sources=10)
-        run_experiment("fig03_campaign", store=store, max_noc=3, **kwargs)
+        ARTIFACTS["fig03"].run(store=store, max_noc=3, **kwargs)
         n_after_fig03 = len(store)
-        run_experiment("fig04_campaign", store=store, max_noc=2, **kwargs)
+        ARTIFACTS["fig04"].run(store=store, max_noc=2, **kwargs)
         assert len(store) == n_after_fig03  # fig04's cells are a subset
 
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core.params import CARDParams
+from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
 from repro.core.state import Contact, ContactTable
 from repro.net.messages import MessageKind
 from repro.net.network import Network
+from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
-from tests.conftest import line_topology
+from tests.conftest import line_topology, random_topology
 
 
 def line_setup(n=30, R=2, r=8, depth=3):
@@ -137,3 +139,66 @@ class TestNoContacts:
         engine, _, _ = line_setup()
         res = engine.query(1, 25)  # node 1 owns no contact table
         assert not res.success and res.msgs == 0
+
+
+class TestOnSelectedContacts:
+    """Queries over contacts chosen by real selection, not hand-placed."""
+
+    @staticmethod
+    def bootstrapped(topo, params, seed):
+        card = CARDProtocol(Network(topo), params, seed=seed)
+        card.bootstrap()
+        return card
+
+    def test_found_routes_walk_to_target(self):
+        topo = random_topology(n=150, area=(400.0, 400.0), tx=70.0, seed=4)
+        params = CARDParams(R=2, r=7, noc=4, depth=3)
+        card = self.bootstrapped(topo, params, seed=4)
+        targets = [int(t) for t in np.random.default_rng(0).choice(150, 5, replace=False)]
+        hits = 0
+        for source in range(0, 60, 3):
+            for target in targets:
+                res = card.query(source, target)
+                if not res.success or res.depth_found == 0:
+                    continue
+                hits += 1
+                assert 1 <= res.depth_found <= params.depth
+                assert res.path[0] == source and res.path[-1] == target
+                for a, b in zip(res.path, res.path[1:]):
+                    assert topo.are_neighbors(a, b)
+                # the reply retraces the discovered route
+                assert res.reply_msgs == len(res.path) - 1
+        assert hits > 10
+
+    def test_deeper_search_finds_no_less(self):
+        topo = random_topology(n=150, area=(400.0, 400.0), tx=70.0, seed=6)
+        params = CARDParams(R=2, r=7, noc=3, depth=3)
+        card = self.bootstrapped(topo, params, seed=6)
+        found = [
+            sum(card.query(s, 149, max_depth=d).success for s in range(30))
+            for d in (1, 2, 3)
+        ]
+        assert found == sorted(found)
+
+    def test_disconnected_target_fails_with_bounded_traffic(self):
+        # a 20-node line plus one node far beyond radio range of all of it
+        line = line_topology(20)
+        pos = np.vstack([np.asarray(line.positions), [[line.area[0] + 500.0, 1.0]]])
+        topo = Topology(pos, line.tx_range, (line.area[0] + 501.0, 10.0))
+        params = CARDParams(R=2, r=8, noc=2, depth=3)
+        card = self.bootstrapped(topo, params, seed=1)
+        assert card.total_contacts() > 0
+        stats = card.network.stats
+        replies, queries = stats.total(MessageKind.REPLY), stats.total(MessageKind.QUERY)
+        res = card.query(0, 20)
+        assert not res.success
+        assert res.depth_found is None and res.path is None
+        assert res.reply_msgs == 0
+        # every escalation round can at most walk each stored route once
+        route_hops = sum(
+            len(c.path) - 1 for t in card.contact_tables.values() for c in t
+        )
+        assert 0 < res.msgs <= params.depth * route_hops
+        # a miss sends no reply; its forwards are all the query traffic
+        assert stats.total(MessageKind.REPLY) == replies
+        assert stats.total(MessageKind.QUERY) - queries == res.msgs

@@ -1,11 +1,12 @@
-"""Tests for the experiment harness — every registered experiment runs at a
+"""Tests for the artifact registry — every registered artifact runs at a
 tiny scale and produces a well-formed, renderable result with the paper's
 qualitative shape where that is cheap to assert."""
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, sample_sources, scaled
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.artifacts.registry import ARTIFACTS, get_artifact
+from repro.artifacts.result import ExperimentResult
+from repro.scenarios.factory import sample_sources, scaled
 
 TINY = dict(scale=0.25, seed=0)
 FEW_SOURCES = dict(num_sources=25)
@@ -47,16 +48,16 @@ class TestRegistry:
             "table1", "fig03", "fig05", "fig07", "fig10", "fig14", "fig15",
             "ablation_recovery",
         ):
-            assert exp_id in EXPERIMENTS
+            assert exp_id in ARTIFACTS
 
     def test_unknown_id_raises_with_listing(self):
-        with pytest.raises(KeyError, match="fig07"):
-            get_experiment("nonsense")
+        with pytest.raises(ValueError, match="fig07"):
+            get_artifact("nonsense")
 
 
 class TestTable1:
     def test_rows_and_reference_columns(self):
-        res = run_experiment("table1", scale=0.2)
+        res = ARTIFACTS["table1"].run(scale=0.2)
         assert len(res.rows) == 8
         # paper reference values present verbatim
         assert res.rows[4][5] == 1854  # scenario 5 links (paper)
@@ -65,53 +66,53 @@ class TestTable1:
 
 class TestReachabilityFigures:
     def test_fig03_em_beats_pm(self):
-        res = run_experiment("fig03", scale=0.3, seed=0, max_noc=4, num_sources=30)
+        res = ARTIFACTS["fig03"].run(scale=0.3, seed=0, max_noc=4, num_sources=30)
         em_final = res.raw["em"][-1][1]
         pm_final = res.raw["pm"][-1][1]
         assert em_final >= pm_final
 
     def test_fig04_pm_backtracks_more(self):
-        res = run_experiment("fig04", scale=0.3, seed=0, max_noc=3, num_sources=30)
+        res = ARTIFACTS["fig04"].run(scale=0.3, seed=0, max_noc=3, num_sources=30)
         pm_back = res.raw["pm"][-1][3]
         em_back = res.raw["em"][-1][3]
         assert pm_back >= em_back
 
     def test_fig05_distribution_mass(self):
-        res = run_experiment("fig05", scale=0.25, seed=0, radii=(1, 2, 3), **FEW_SOURCES)
+        res = ARTIFACTS["fig05"].run(scale=0.25, seed=0, radii=(1, 2, 3), **FEW_SOURCES)
         for label in ("R=1", "R=2", "R=3"):
             col = res.raw["columns"][label]
             assert col.sum() == 25
 
     def test_fig06_reachability_grows_with_r(self):
-        res = run_experiment(
-            "fig06", scale=0.3, seed=0, deltas=(0, 4, 8), **FEW_SOURCES
+        res = ARTIFACTS["fig06"].run(
+            scale=0.3, seed=0, deltas=(0, 4, 8), **FEW_SOURCES
         )
         means = res.raw["means"]
         assert means["r=2R+8"] >= means["r=2R"]
 
     def test_fig07_saturates(self):
-        res = run_experiment(
-            "fig07", scale=0.3, seed=0, noc_values=(0, 2, 4, 8), **FEW_SOURCES
+        res = ARTIFACTS["fig07"].run(
+            scale=0.3, seed=0, noc_values=(0, 2, 4, 8), **FEW_SOURCES
         )
         means = res.raw["means"]
         assert means["NoC=2"] > means["NoC=0"]
         assert means["NoC=8"] >= means["NoC=4"] >= means["NoC=2"]
 
     def test_fig08_depth_monotone(self):
-        res = run_experiment("fig08", scale=0.3, seed=0, depths=(1, 2), **FEW_SOURCES)
+        res = ARTIFACTS["fig08"].run(scale=0.3, seed=0, depths=(1, 2), **FEW_SOURCES)
         means = res.raw["means"]
         assert means["D=2"] >= means["D=1"]
 
     def test_fig09_three_sizes(self):
-        res = run_experiment("fig09", scale=0.15, seed=0, **FEW_SOURCES)
+        res = ARTIFACTS["fig09"].run(scale=0.15, seed=0, **FEW_SOURCES)
         assert len(res.raw["columns"]) == 3
 
 
 class TestTimeSeriesFigures:
     # campaign-first raw payloads are the stored cells' metrics dicts
     def test_fig10_overhead_grows_with_noc(self):
-        res = run_experiment(
-            "fig10", scale=0.2, seed=0, noc_values=(2, 6), duration=6.0,
+        res = ARTIFACTS["fig10"].run(
+            scale=0.2, seed=0, noc_values=(2, 6), duration=6.0,
             num_sources=20,
         )
         lo = sum(res.raw["NoC=2"]["overhead"])
@@ -119,12 +120,12 @@ class TestTimeSeriesFigures:
         assert hi >= lo
 
     def test_fig11_12_share_shape(self):
-        res11 = run_experiment(
-            "fig11", scale=0.2, seed=0, r_values=(8, 12), duration=4.0,
+        res11 = ARTIFACTS["fig11"].run(
+            scale=0.2, seed=0, r_values=(8, 12), duration=4.0,
             num_sources=20,
         )
-        res12 = run_experiment(
-            "fig12", scale=0.2, seed=0, r_values=(8, 12), duration=4.0,
+        res12 = ARTIFACTS["fig12"].run(
+            scale=0.2, seed=0, r_values=(8, 12), duration=4.0,
             num_sources=20,
         )
         assert len(res11.rows) == len(res12.rows) == 2
@@ -135,7 +136,7 @@ class TestTimeSeriesFigures:
             assert back <= total + 1e-9
 
     def test_fig13_series_lengths(self):
-        res = run_experiment("fig13", scale=0.3, seed=0, duration=8.0, num_sources=20)
+        res = ARTIFACTS["fig13"].run(scale=0.3, seed=0, duration=8.0, num_sources=20)
         series = res.raw["series"]
         assert len(series["times"]) == 4
         assert len(series["total_contacts"]) == 4
@@ -143,14 +144,14 @@ class TestTimeSeriesFigures:
 
 class TestComparisonFigures:
     def test_fig14_normalized_in_unit_interval(self):
-        res = run_experiment("fig14", scale=0.25, seed=0, max_noc=4, **FEW_SOURCES)
+        res = ARTIFACTS["fig14"].run(scale=0.25, seed=0, max_noc=4, **FEW_SOURCES)
         for row in res.rows:
             assert 0.0 <= row[1] <= 1.0 and 0.0 <= row[2] <= 1.0
         # overhead normalized curve peaks at the max NoC
         assert res.rows[-1][2] == pytest.approx(1.0)
 
     def test_fig15_card_beats_flooding(self):
-        res = run_experiment("fig15", scale=0.25, seed=0, num_queries=15)
+        res = ARTIFACTS["fig15"].run(scale=0.25, seed=0, num_queries=15)
         for row in res.rows:
             flooding, card = row[1], row[3]
             assert card < flooding
@@ -158,7 +159,7 @@ class TestComparisonFigures:
 
 class TestAblations:
     def test_pm_eq_overlap_ordering(self):
-        res = run_experiment("ablation_pm_eq", scale=0.25, seed=0, **FEW_SOURCES)
+        res = ARTIFACTS["ablation_pm_eq"].run(scale=0.25, seed=0, **FEW_SOURCES)
         by = {row[0]: row for row in res.rows}
         # EM eliminates overlap entirely
         assert by["EM"][1] == 0.0
@@ -166,14 +167,14 @@ class TestAblations:
         assert by["PM eq.1"][1] >= by["PM eq.2"][1]
 
     def test_overlap_ablation_full_em_clean(self):
-        res = run_experiment("ablation_overlap", scale=0.25, seed=0, **FEW_SOURCES)
+        res = ARTIFACTS["ablation_overlap"].run(scale=0.25, seed=0, **FEW_SOURCES)
         by = {row[0]: row for row in res.rows}
         assert by["full EM"][1] == 0.0
         assert by["no edge check"][1] >= by["full EM"][1]
 
     def test_recovery_ablation_rows(self):
-        res = run_experiment(
-            "ablation_recovery", scale=0.3, seed=0, duration=6.0, num_sources=20
+        res = ARTIFACTS["ablation_recovery"].run(
+            scale=0.3, seed=0, duration=6.0, num_sources=20
         )
         by = {row[0]: row for row in res.rows}
         # recovery keeps at least as many contacts alive
@@ -182,29 +183,29 @@ class TestAblations:
         ][5] >= by["recovery OFF"][5]
 
     def test_query_ablation_card_cheaper_than_ring(self):
-        res = run_experiment(
-            "ablation_query", scale=0.3, seed=0, num_queries=10
+        res = ARTIFACTS["ablation_query"].run(
+            scale=0.3, seed=0, num_queries=10
         )
         by = {row[0]: row for row in res.rows}
         assert by["CARD DSQ (dedup)"][1] <= by["Expanding ring"][1]
 
     def test_mobility_ablation_rows(self):
-        res = run_experiment(
-            "ablation_mobility", scale=0.25, seed=0, duration=4.0, num_sources=15
+        res = ARTIFACTS["ablation_mobility"].run(
+            scale=0.25, seed=0, duration=4.0, num_sources=15
         )
         assert {row[0] for row in res.rows} == {"RWP", "RandomWalk", "GaussMarkov"}
 
     def test_edge_policy_ablation(self):
-        res = run_experiment(
-            "ablation_edge_policy", scale=0.25, seed=0, **FEW_SOURCES
+        res = ARTIFACTS["ablation_edge_policy"].run(
+            scale=0.25, seed=0, **FEW_SOURCES
         )
         assert {row[0] for row in res.rows} == {"random", "spread", "degree"}
         for row in res.rows:
             assert row[2] > 0  # every policy finds contacts
 
     def test_failures_ablation_phases(self):
-        res = run_experiment(
-            "ablation_failures", scale=0.25, seed=0, num_queries=12
+        res = ARTIFACTS["ablation_failures"].run(
+            scale=0.25, seed=0, num_queries=12
         )
         assert [row[0] for row in res.rows] == [
             "before crash", "after crash", "after repair",
@@ -216,7 +217,7 @@ class TestAblations:
 
 class TestExtensionExperiments:
     def test_smallworld_monotone_contraction(self):
-        res = run_experiment("smallworld", scale=0.25, seed=0, **FEW_SOURCES)
+        res = ARTIFACTS["smallworld"].run(scale=0.25, seed=0, **FEW_SOURCES)
         reports = res.raw
         ks = sorted(reports)
         lengths = [reports[k]["augmented_path_length"] for k in ks]
@@ -226,6 +227,6 @@ class TestExtensionExperiments:
         assert all(b >= a - 1e-9 for a, b in zip(coverage, coverage[1:]))
 
     def test_smallworld_clustering_invariant(self):
-        res = run_experiment("smallworld", scale=0.25, seed=0, **FEW_SOURCES)
+        res = ARTIFACTS["smallworld"].run(scale=0.25, seed=0, **FEW_SOURCES)
         clusterings = {round(rep["clustering"], 9) for rep in res.raw.values()}
         assert len(clusterings) == 1

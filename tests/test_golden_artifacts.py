@@ -15,16 +15,13 @@ Deliberate output changes regenerate fixtures with::
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import golden_matrix
 from repro.artifacts.registry import ARTIFACTS, artifact_ids, get_artifact
 from repro.campaign.store import ResultStore
-from repro.experiments.registry import (
-    DERIVED_EXPERIMENTS,
-    EXPERIMENTS,
-    run_experiment,
-)
 
 #: (seed, workers) pairs: ≥2 seeds and ≥2 worker counts per id, without
 #: quadrupling the matrix (worker count must never change any output)
@@ -41,16 +38,14 @@ class TestGoldenMatrix:
         golden = golden_matrix.load_fixture(exp_id)[str(seed)]
         kwargs = dict(golden_matrix.GOLDEN_KWARGS[exp_id], seed=seed)
         store = ResultStore(tmp_path / "store.jsonl")
-        result = run_experiment(exp_id, store=store, n_workers=n_workers, **kwargs)
+        result = ARTIFACTS[exp_id].run(store=store, n_workers=n_workers, **kwargs)
         assert golden_matrix.canon(list(result.headers)) == golden["headers"]
         assert golden_matrix.canon([list(r) for r in result.rows]) == golden["rows"]
         assert golden_matrix.canon(list(result.plots)) == golden["plots"]
         assert result.exp_id == exp_id
         # a second invocation against the same store is pure cache and
-        # still reduces to the identical artifact — through the pre-flip
-        # `<id>_campaign` alias, which must stay registered
-        again = run_experiment(
-            f"{exp_id}_campaign",
+        # still reduces to the identical artifact
+        again = ARTIFACTS[exp_id].run(
             store=ResultStore(tmp_path / "store.jsonl"),
             n_workers=1,
             **kwargs,
@@ -72,12 +67,6 @@ class TestGoldenCoverage:
                 for key in ("headers", "rows", "plots"):
                     assert key in fixture[str(seed)]
 
-    def test_campaign_aliases_are_registered_and_derived(self):
-        for exp_id in ARTIFACTS:
-            assert exp_id in EXPERIMENTS
-            assert f"{exp_id}_campaign" in EXPERIMENTS
-            assert f"{exp_id}_campaign" in DERIVED_EXPERIMENTS
-
     def test_multi_seed_artifacts_marked(self):
         multi = {a_id for a_id, a in ARTIFACTS.items() if a.multi_seed}
         assert multi == {"fig07_ci", "table1_ci"}
@@ -89,7 +78,7 @@ class TestGoldenCoverage:
         assert artifact_ids() == sorted(ARTIFACTS)
 
     def test_legacy_oracle_package_is_gone(self):
-        # the oracles outlived their usefulness (ROADMAP follow-up);
-        # nothing may silently resurrect the module
+        # the legacy oracles and the CLI that hosted them are deleted;
+        # nothing may silently resurrect the package
         with pytest.raises(ModuleNotFoundError):
-            import repro.experiments.legacy  # noqa: F401
+            importlib.import_module(".experiments", package="repro")

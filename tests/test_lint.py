@@ -9,15 +9,20 @@ Structure:
 * the import-graph library (closures, deferral, ancestor semantics,
   top-level cycle detection);
 * the CLI: exit codes, ``--format json`` schema, ``--select``;
-* regressions against the real tree: the repo lints clean, and a
-  wall-clock read injected into a cell-executed module fails the build
-  exactly the way CI would see it.
+* regressions against the real tree: the repo lints clean, a
+  wall-clock read injected into a cell-executed module or an orphan
+  module fails the build exactly the way CI would see it, and every
+  console script is a live root.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -33,6 +38,9 @@ from repro.lint.cli import main
 from repro.lint.rules import ALL_RULES
 
 REPO = Path(__file__).resolve().parent.parent
+MAIN_PACKAGES = sorted(
+    p.parent.name for p in (REPO / "src" / "repro").glob("*/__main__.py")
+)
 
 RULE_IDS = {
     "CARD-D01",
@@ -40,6 +48,7 @@ RULE_IDS = {
     "CARD-D03",
     "CARD-L01",
     "CARD-L02",
+    "CARD-L03",
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
@@ -262,35 +271,39 @@ class TestCellEntropyRule:
 
 
 class TestLayerRules:
-    def test_facade_toplevel_import_of_harness_flagged(
+    def test_facade_toplevel_import_of_cli_flagged(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         pkg = make_pkg(
             tmp_path,
             {
-                "api.py": "from repro.experiments import harness\n",
-                "experiments/harness.py": "X = 1\n",
+                "artifacts/registry.py": "from repro.campaign.__main__ import main\n",
+                "campaign/__main__.py": "def main():\n    return 0\n",
             },
         )
         report = lint_pkg(pkg, select=("CARD-L01",), paths=[])
         assert rules_hit(report) == ["CARD-L01"]
-        assert "repro.experiments" in report.findings[0].message
+        assert "repro.campaign.__main__" in report.findings[0].message
 
-    def test_facade_lazy_import_of_harness_allowed(
+    def test_facade_lazy_import_of_cli_allowed(
         self, tmp_path, monkeypatch
     ):
-        # CARD-L01 is an import-time contract; function-level is fine
+        # CARD-L01 is an import-time contract; function-level is fine, and
+        # so is the engine the CLI sits on
         monkeypatch.chdir(tmp_path)
         pkg = make_pkg(
             tmp_path,
             {
                 "api.py": """
-                def plot():
-                    from repro.experiments import harness
-                    return harness.X
+                from repro.campaign import runner
+
+                def cli():
+                    from repro.campaign.__main__ import main
+                    return main()
                 """,
-                "experiments/harness.py": "X = 1\n",
+                "campaign/runner.py": "X = 1\n",
+                "campaign/__main__.py": "def main():\n    return 0\n",
             },
         )
         assert lint_pkg(pkg, select=("CARD-L01",), paths=[]).findings == []
@@ -326,6 +339,79 @@ class TestLayerRules:
             },
         )
         assert lint_pkg(pkg, select=("CARD-L",), paths=[]).findings == []
+
+
+class TestDeadModules:
+    """CARD-L03: every package module is reachable from a live root."""
+
+    LIVE = {
+        "api.py": "from repro.net.topology import Topology\n",
+        "net/topology.py": "class Topology:\n    pass\n",
+        "campaign/__main__.py": """
+        def main():
+            from repro.campaign import runner
+            return runner.run()
+        """,
+        "campaign/runner.py": "def run():\n    return 0\n",
+        # a package with a __main__ is a root: its __init__ imports count
+        "tool/__init__.py": "from repro.tool.helper import HELP\n",
+        "tool/__main__.py": "print('tool')\n",
+        "tool/helper.py": "HELP = 'help'\n",
+    }
+
+    @staticmethod
+    def dead(tmp_path, files):
+        pkg = make_pkg(tmp_path, files)
+        report = lint_pkg(pkg, select=("CARD-L03",), paths=[])
+        return sorted(Path(f.path).as_posix() for f in report.findings)
+
+    def test_live_tree_is_clean(self, tmp_path, monkeypatch):
+        # lazy imports count and __main__ packages are roots
+        monkeypatch.chdir(tmp_path)
+        assert self.dead(tmp_path, self.LIVE) == []
+
+    def test_orphan_module_flagged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        files = {**self.LIVE, "net/orphan.py": "X = 1\n"}
+        assert self.dead(tmp_path, files) == ["src/repro/net/orphan.py"]
+
+    @pytest.mark.parametrize("init", ["__init__.py", "net/__init__.py"])
+    def test_package_reexport_alone_does_not_make_live(
+        self, tmp_path, monkeypatch, init
+    ):
+        # dead code cannot hide behind the root or a subpackage facade
+        monkeypatch.chdir(tmp_path)
+        files = {
+            **self.LIVE,
+            init: "from repro.net.legacy import LegacyModel\n",
+            "net/legacy.py": "class LegacyModel:\n    pass\n",
+        }
+        assert self.dead(tmp_path, files) == ["src/repro/net/legacy.py"]
+
+    def test_import_through_package_follows_only_that_name(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        files = {
+            **self.LIVE,
+            "api.py": "from repro.net import Topology\n",
+            "net/__init__.py": (
+                "from repro.net.topology import Topology\n"
+                "from repro.net.legacy import LegacyModel\n"
+            ),
+            "net/legacy.py": "class LegacyModel:\n    pass\n",
+        }
+        assert self.dead(tmp_path, files) == ["src/repro/net/legacy.py"]
+        # importing the re-exported name (or the whole package) is a use
+        files["api.py"] = "from repro.net import LegacyModel, Topology\n"
+        assert self.dead(tmp_path, files) == []
+        files["api.py"] = "import repro.net\n"
+        assert self.dead(tmp_path, files) == []
+
+    def test_package_without_roots_is_skipped(self, tmp_path, monkeypatch):
+        # a tree none of the configured roots live in is not this package
+        monkeypatch.chdir(tmp_path)
+        assert self.dead(tmp_path, {"net/orphan.py": "X = 1\n"}) == []
 
 
 class TestSqliteTxnRule:
@@ -914,3 +1000,62 @@ class TestRealTree:
             and forbidden in f["message"]
         ]
         assert hits, data["findings"]
+
+    def test_injected_orphan_module_fails_the_build(self, tmp_path, monkeypatch):
+        # CARD-L03 end to end: a module nothing imports fails the build
+        shutil.copytree(REPO / "src", tmp_path / "src")
+        orphan = tmp_path / "src" / "repro" / "net" / "orphan.py"
+        orphan.write_text('"""Referenced by nobody."""\n\nX = 1\n')
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["src", "--no-baseline", "--format", "json", "--out", "report.json"]
+        )
+        assert rc == 1
+        data = json.loads(Path("report.json").read_text())
+        hits = [(f["rule"], f["path"]) for f in data["findings"]]
+        assert hits == [("CARD-L03", "src/repro/net/orphan.py")], hits
+
+    @pytest.mark.parametrize(
+        "root", LintConfig.default(REPO / "src" / "repro").live_roots
+    )
+    def test_live_root_is_an_importable_module(self, root):
+        # a stale root (naming a deleted module) would silently shrink
+        # the CARD-L03 closure instead of failing
+        assert root in build_graph(REPO / "src" / "repro").modules
+        assert importlib.import_module(root).__name__ == root
+
+    @pytest.mark.parametrize("package", MAIN_PACKAGES)
+    def test_python_dash_m_entry_point_starts(self, package):
+        # every ``__main__`` package is a CARD-L03 root; it must also run
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", f"repro.{package}", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=REPO,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")
+
+    def test_live_roots_cover_every_console_script(self):
+        # the [project.scripts] targets are CARD-L03 roots (configured, or
+        # a ``__main__`` module, which the rule adds itself), and each one
+        # imports and exposes its callable (a script naming a deleted
+        # module would otherwise only break on install)
+        import re
+
+        text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        scripts = re.findall(r'^([\w-]+)\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+        assert scripts, "no console scripts parsed from pyproject.toml"
+        config = LintConfig.default(REPO / "src" / "repro")
+        graph = build_graph(REPO / "src" / "repro")
+        assert set(config.live_roots) <= set(graph.modules)
+        for name, module, attr in scripts:
+            assert module in config.live_roots or module.endswith(
+                ".__main__"
+            ), f"{name}: {module} is no live root"
+            assert module in graph.modules, f"{name}: {module} is not in src"
+            assert callable(getattr(importlib.import_module(module), attr)), name
